@@ -80,15 +80,15 @@ bench-server:
 	    -workload 429.mcf -n 200000 -shards 1 -sets 1024 -ways 16 -mem-mb 16 \
 	    -o BENCH_server.json
 
-# Regenerates BENCH_uarch.json: the event-driven multi-core engine vs the
-# legacy core loop (1-core byte-for-byte cross-check, wall-clock overhead,
-# and the 1/2/4/8/16-core scaling curve with shared-LLC contention).
+# Regenerates BENCH_uarch.json: the timing model's 1/2/4/8/16-core
+# scaling curve (instructions and LLC accesses per second, geomean IPC,
+# shared-LLC contention, per-core results at 8 cores).
 bench-uarch:
 	$(GO) run ./cmd/benchjson -uarch -o BENCH_uarch.json
 
-# Event-engine smoke: short legacy-vs-event differential via
-# `check -pair uarch`, then the quick -uarch benchmark with JSON field
-# validation (xcheck_ok must be true).
+# Timing-model smoke: the golden digests that pin every uarch Result,
+# DRAM writeback count and LLC victim sequence at 1/2/4/8 cores, then the
+# quick -uarch benchmark with JSON field validation.
 uarch-smoke:
 	sh scripts/uarch_smoke.sh
 

@@ -93,7 +93,7 @@ func BenchmarkAblationAgeWeight(b *testing.B) { runExperiment(b, "weightsweep") 
 // BenchmarkKPCPInteraction regenerates the §V-B KPC-P prefetcher study.
 func BenchmarkKPCPInteraction(b *testing.B) { runExperiment(b, "kpcp") }
 
-// BenchmarkMCScale regenerates the 8/16-core event-engine scaling table.
+// BenchmarkMCScale regenerates the 8/16-core timing-model scaling table.
 func BenchmarkMCScale(b *testing.B) { runExperiment(b, "mcscale") }
 
 // runExperimentCold times cold runs: the memo caches are cleared every

@@ -10,7 +10,7 @@
 //	benchjson -hotpath -quick -o -    # CI smoke: small trace, stdout
 //	benchjson -intervals              # representative intervals -> BENCH_intervals.json
 //	benchjson -intervals -quick -o -  # CI smoke: one small workload, stdout
-//	benchjson -uarch                  # event-engine scaling -> BENCH_uarch.json
+//	benchjson -uarch                  # N-core timing-model scaling -> BENCH_uarch.json
 //	benchjson -uarch -quick -o -      # CI smoke: short runs, stdout
 //
 // The memo caches are cleared before every timed run, so both columns
@@ -60,7 +60,7 @@ func main() {
 		jobs    = flag.Int("jobs", 0, "parallel column's worker count (0 = NumCPU)")
 		hotpath = flag.Bool("hotpath", false, "measure the per-access hot path instead of the experiment grid")
 		intvls  = flag.Bool("intervals", false, "measure representative-interval selection vs full-trace simulation")
-		uarchF  = flag.Bool("uarch", false, "measure the event-driven multi-core engine vs the legacy core loop")
+		uarchF  = flag.Bool("uarch", false, "measure the multi-core timing model's N-core scaling")
 		quick   = flag.Bool("quick", false, "with -hotpath/-intervals/-uarch: small traces and short budgets (CI smoke)")
 	)
 	flag.Parse()

@@ -9,36 +9,15 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/obs"
 	"repro/internal/policy"
-	"repro/internal/trace"
 	"repro/internal/uarch"
-	"repro/internal/uarch/event"
 	"repro/internal/workloads"
 )
 
-// The -uarch mode benchmarks the event-driven multi-core engine
-// (internal/uarch/event) against the legacy core loop and writes
-// BENCH_uarch.json: the 1-core byte-for-byte cross-check verdicts, the
-// legacy-vs-event wall-clock on identical 1-core runs, and the N-core
-// scaling curve (events/sec, geomean IPC, shared-LLC contention) that
-// only the event engine can produce past the paper's 4-core table. The
-// 8-core row carries per-core results so mix heterogeneity is visible.
-
-type uarchXCheckRow struct {
-	Workload   string `json:"workload"`
-	Policy     string `json:"policy"`
-	OK         bool   `json:"ok"`
-	Divergence string `json:"divergence,omitempty"`
-}
-
-type uarchCompareRow struct {
-	Workload      string  `json:"workload"`
-	Policy        string  `json:"policy"`
-	LegacyMS      float64 `json:"legacy_ms"`
-	EventMS       float64 `json:"event_ms"`
-	EventOverhead float64 `json:"event_over_legacy"` // event_ms / legacy_ms
-	Events        uint64  `json:"events"`
-	EventsPerSec  float64 `json:"events_per_sec"`
-}
+// The -uarch mode benchmarks the multi-core timing model (internal/uarch)
+// and writes BENCH_uarch.json: the N-core scaling curve — simulated
+// instructions and LLC accesses per wall-clock second, geomean IPC, and
+// shared-LLC contention — past the paper's 4-core table. The 8-core row
+// carries per-core results so mix heterogeneity is visible.
 
 type uarchCoreRow struct {
 	Core         int     `json:"core"`
@@ -48,111 +27,51 @@ type uarchCoreRow struct {
 	IPC          float64 `json:"ipc"`
 }
 
+// uarchScaleRow is one core count. wall_ms times warmup plus measurement,
+// so instr_per_sec counts every simulated instruction (warmup+measure per
+// core) and the llc_* fields come from Hierarchy.Stats over the whole run;
+// instructions, geomean_ipc and demand_mpki cover the measured window.
+// LLC accesses per instruction grow with core count (shared-LLC
+// contention), so instr_per_sec and llc_accesses_per_sec move apart.
 type uarchScaleRow struct {
-	Cores           int            `json:"cores"`
-	WallMS          float64        `json:"wall_ms"`
-	Events          uint64         `json:"events"`
-	EventsPerSec    float64        `json:"events_per_sec"`
-	Instructions    uint64         `json:"instructions"`
-	GeomeanIPC      float64        `json:"geomean_ipc"`
-	LLCAccesses     uint64         `json:"llc_accesses"`
-	LLCDemandHitPct float64        `json:"llc_demand_hit_pct"`
-	DemandMPKI      float64        `json:"demand_mpki"`
-	WBToDRAM        uint64         `json:"wb_to_dram"`
-	PerCore         []uarchCoreRow `json:"per_core,omitempty"` // populated for the 8-core row
+	Cores             int            `json:"cores"`
+	WallMS            float64        `json:"wall_ms"`
+	Instructions      uint64         `json:"instructions"`
+	InstrPerSec       float64        `json:"instr_per_sec"`
+	LLCAccesses       uint64         `json:"llc_accesses"`
+	LLCAccessesPerSec float64        `json:"llc_accesses_per_sec"`
+	GeomeanIPC        float64        `json:"geomean_ipc"`
+	LLCDemandHitPct   float64        `json:"llc_demand_hit_pct"`
+	DemandMPKI        float64        `json:"demand_mpki"`
+	WBToDRAM          uint64         `json:"wb_to_dram"`
+	PerCore           []uarchCoreRow `json:"per_core,omitempty"` // populated for the 8-core row
 }
 
 type uarchReport struct {
-	Meta             obs.BuildInfo     `json:"meta"`
-	Quick            bool              `json:"quick"`
-	Policy           string            `json:"policy"` // LLC policy for compare/scaling rows
-	Warmup           uint64            `json:"warmup"`
-	Measure          uint64            `json:"measure"`
-	XCheckOK         bool              `json:"xcheck_ok"` // every cross-check cell agreed
-	XCheck           []uarchXCheckRow  `json:"xcheck"`
-	Compare          []uarchCompareRow `json:"legacy_vs_event"`
-	Scaling          []uarchScaleRow   `json:"scaling"`
-	PeakEventsPerSec float64           `json:"peak_events_per_sec"`
+	Meta    obs.BuildInfo   `json:"meta"`
+	Quick   bool            `json:"quick"`
+	Policy  string          `json:"policy"` // LLC policy for the scaling rows
+	Warmup  uint64          `json:"warmup"`
+	Measure uint64          `json:"measure"`
+	Scaling []uarchScaleRow `json:"scaling"`
 }
 
 func runUarch(quick bool, path string) error {
 	pol := "drrip"
 	warmup, measure := uint64(50_000), uint64(200_000)
-	xBenches := []string{"429.mcf", "470.lbm", "483.xalancbmk"}
-	xPols := []string{"lru", "drrip", "ship"}
-	xInstrs := 120_000
 	coreCounts := []int{1, 2, 4, 8, 16}
 	if quick {
 		warmup, measure = 4_000, 16_000
-		xBenches = xBenches[:1]
-		xPols = []string{"lru", "drrip"}
-		xInstrs = 12_000
 		coreCounts = []int{1, 2, 8}
 	}
 
 	rep := uarchReport{
 		Meta: obs.CollectBuildInfo(), Quick: quick,
-		Policy: pol, Warmup: warmup, Measure: measure, XCheckOK: true,
+		Policy: pol, Warmup: warmup, Measure: measure,
 	}
 
-	// 1-core cross-check: legacy and event engines must agree
-	// byte-for-byte on the LLC access stream, victim sequence, and Result.
-	for _, b := range xBenches {
-		ins, err := captureUarchInstrs(b, xInstrs)
-		if err != nil {
-			return err
-		}
-		xw := uint64(xInstrs / 5)
-		xm := uint64(xInstrs) - xw
-		for _, p := range xPols {
-			row := uarchXCheckRow{Workload: b, Policy: p, OK: true}
-			if d := event.CrossCheck(uarch.ScaledConfig(1, 8), p, ins, xw, xm); d != nil {
-				row.OK = false
-				row.Divergence = d.String()
-				rep.XCheckOK = false
-			}
-			rep.XCheck = append(rep.XCheck, row)
-			fmt.Fprintf(os.Stderr, "xcheck %-16s %-8s ok=%v\n", b, p, row.OK)
-		}
-	}
-
-	// Legacy vs event wall-clock on identical 1-core runs.
-	for _, b := range []string{"429.mcf", "450.soplex"} {
-		spec, err := workloads.ByName(b)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		legacyRes := uarch.NewSystem(uarch.ScaledConfig(1, 8), policy.MustNew(pol)).
-			RunSingle(workloads.New(spec), warmup, measure)
-		legacyMS := msSince(start)
-
-		start = time.Now()
-		evSys := event.NewSystem(uarch.ScaledConfig(1, 8), policy.MustNew(pol))
-		eventRes := evSys.RunSingle(workloads.New(spec), warmup, measure)
-		eventMS := msSince(start)
-		if legacyRes != eventRes {
-			return fmt.Errorf("%s: legacy and event results diverged in the timing pass: %+v vs %+v",
-				b, legacyRes, eventRes)
-		}
-		row := uarchCompareRow{
-			Workload: b, Policy: pol,
-			LegacyMS: legacyMS, EventMS: eventMS,
-			Events: evSys.Engine().EventCount(),
-		}
-		if legacyMS > 0 {
-			row.EventOverhead = eventMS / legacyMS
-		}
-		if eventMS > 0 {
-			row.EventsPerSec = float64(row.Events) / (eventMS / 1000)
-		}
-		rep.Compare = append(rep.Compare, row)
-		fmt.Fprintf(os.Stderr, "1-core %-16s legacy %7.1fms   event %7.1fms (%.2fx)   %.2fM events/s\n",
-			b, legacyMS, eventMS, row.EventOverhead, row.EventsPerSec/1e6)
-	}
-
-	// N-core scaling through the event engine. Mixes cycle the 8 training
-	// workloads so every row is deterministic and self-describing.
+	// Mixes cycle the 8 training workloads so every row is deterministic
+	// and self-describing.
 	names := workloads.TrainingNames()
 	for _, cores := range coreCounts {
 		mix := make([]string, cores)
@@ -165,12 +84,12 @@ func runUarch(quick bool, path string) error {
 			}
 			srcs[i] = workloads.New(spec)
 		}
-		sys := event.NewSystem(uarch.ScaledConfig(cores, 8), policy.MustNew(pol))
+		sys := uarch.NewSystem(uarch.ScaledConfig(cores, 8), policy.MustNew(pol))
 		start := time.Now()
 		results := sys.RunMulti(srcs, warmup, measure)
 		wallMS := msSince(start)
 
-		row := uarchScaleRow{Cores: cores, WallMS: wallMS, Events: sys.Engine().EventCount()}
+		row := uarchScaleRow{Cores: cores, WallMS: wallMS}
 		ipcs := make([]float64, len(results))
 		for i, r := range results {
 			row.Instructions += r.Instructions
@@ -181,16 +100,18 @@ func runUarch(quick bool, path string) error {
 			return err
 		}
 		row.GeomeanIPC = gm
-		if wallMS > 0 {
-			row.EventsPerSec = float64(row.Events) / (wallMS / 1000)
-		}
-		st := sys.Stats()
+		h := sys.Hierarchy()
+		st := h.Stats()
 		row.LLCAccesses = st.Accesses
+		if wallMS > 0 {
+			row.InstrPerSec = float64(uint64(cores)*(warmup+measure)) / (wallMS / 1000)
+			row.LLCAccessesPerSec = float64(st.Accesses) / (wallMS / 1000)
+		}
 		if d := st.DemandHits + st.DemandMisses; d > 0 {
 			row.LLCDemandHitPct = 100 * float64(st.DemandHits) / float64(d)
 		}
 		row.DemandMPKI = results[0].DemandMPKI
-		row.WBToDRAM = sys.WBToDRAM()
+		row.WBToDRAM = h.WBToDRAM()
 		if cores == 8 {
 			for i, r := range results {
 				row.PerCore = append(row.PerCore, uarchCoreRow{
@@ -199,12 +120,9 @@ func runUarch(quick bool, path string) error {
 				})
 			}
 		}
-		if row.EventsPerSec > rep.PeakEventsPerSec {
-			rep.PeakEventsPerSec = row.EventsPerSec
-		}
 		rep.Scaling = append(rep.Scaling, row)
-		fmt.Fprintf(os.Stderr, "%2d-core %8.1fms   %.2fM events/s   gIPC %.3f   LLC demand hit %5.2f%%\n",
-			cores, wallMS, row.EventsPerSec/1e6, row.GeomeanIPC, row.LLCDemandHitPct)
+		fmt.Fprintf(os.Stderr, "%2d-core %8.1fms   %.3fM instr/s   %.3fM LLC accesses/s   gIPC %.3f   LLC demand hit %5.2f%%\n",
+			cores, wallMS, row.InstrPerSec/1e6, row.LLCAccessesPerSec/1e6, row.GeomeanIPC, row.LLCDemandHitPct)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -219,20 +137,6 @@ func runUarch(quick bool, path string) error {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (xcheck_ok=%v, peak %.2fM events/s)\n",
-		path, rep.XCheckOK, rep.PeakEventsPerSec/1e6)
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil
-}
-
-func captureUarchInstrs(name string, n int) ([]trace.Instr, error) {
-	spec, err := workloads.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	gen := workloads.New(spec)
-	ins := make([]trace.Instr, n)
-	for i := range ins {
-		ins[i] = gen.Next()
-	}
-	return ins, nil
 }

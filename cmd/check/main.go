@@ -9,13 +9,6 @@
 //	go run ./cmd/check -pair drrip     # one policy only
 //	go run ./cmd/check -seeds 32 -n 10000
 //	go run ./cmd/check -replay ce.txt  # re-run a saved counterexample
-//
-// The special pair "uarch" instead runs the timing-level differential:
-// the event-driven engine against the legacy core loop, byte-for-byte
-// (see cmd/check/uarch.go). -class then selects a workload, and -seeds
-// shifts the capture window through the instruction stream.
-//
-//	go run ./cmd/check -pair uarch -class 429.mcf -seeds 4 -n 20000
 package main
 
 import (
@@ -42,9 +35,6 @@ func main() {
 
 	if *replay != "" {
 		os.Exit(runReplay(*replay, *noShrink))
-	}
-	if *pairName == "uarch" {
-		os.Exit(runUarchSweep(*class, *seeds, *n, *noShrink, *verbose))
 	}
 	os.Exit(runSweep(*pairName, *class, *seeds, *n, *noShrink, *verbose))
 }

@@ -8,16 +8,14 @@ import (
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/uarch"
-	"repro/internal/uarch/event"
 	"repro/internal/workloads"
 )
 
 func init() {
-	register("mcscale", "N-core scaling: event-engine 8/16-core SPEC mixes with shared-LLC contention", runMCScale)
+	register("mcscale", "N-core scaling: 8/16-core SPEC mixes with shared-LLC contention", runMCScale)
 }
 
-// mcScaleCores are the core counts beyond the paper's 4-core Table IV
-// that the event engine unlocks.
+// mcScaleCores are the core counts beyond the paper's 4-core Table IV.
 var mcScaleCores = []int{8, 16}
 
 // mcScalePolicies is the policy series for the scaling table: the LRU
@@ -31,7 +29,7 @@ var mcScalePolicies = []struct {
 	{"RLR", "rlr-mc"},
 }
 
-// mcScaleCell is one (cores, mix, policy) event-engine run.
+// mcScaleCell is one (cores, mix, policy) timing run.
 type mcScaleCell struct {
 	gIPC      float64 // geomean of per-core IPCs
 	demandHit float64 // shared-LLC demand hit percentage
@@ -47,7 +45,7 @@ func runMCScaleCell(cores int, mix []string, polName string, s Scale) (mcScaleCe
 		}
 		srcs[i] = workloads.New(spec)
 	}
-	sys := event.NewSystem(s.sysConfig(cores), policy.MustNew(polName))
+	sys := uarch.NewSystem(s.sysConfig(cores), policy.MustNew(polName))
 	results := sys.RunMulti(srcs, s.MixWarmup, s.MixMeasure)
 	ipcs := make([]float64, len(results))
 	for i, r := range results {
@@ -67,13 +65,13 @@ func runMCScaleCell(cores int, mix []string, polName string, s Scale) (mcScaleCe
 	return cell, nil
 }
 
-// runMCScale runs the N-core mixes through the event engine and reports
+// runMCScale runs the N-core mixes through the timing model and reports
 // per-(cores, policy) aggregates over the mixes. Columns are all
 // deterministic simulation outputs — wall-clock scaling lives in
 // BENCH_uarch.json, not here.
 func runMCScale(s Scale) (*stats.Table, error) {
 	tbl := &stats.Table{
-		Title:  "N-core scaling (event engine): geomean IPC and shared-LLC contention per policy",
+		Title:  "N-core scaling: geomean IPC and shared-LLC contention per policy",
 		Header: []string{"cores", "policy", "GEOMEAN_IPC", "LLC_DEMAND_HIT%", "DEMAND_MPKI"},
 	}
 	mixCount := s.MixCount

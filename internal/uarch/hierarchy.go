@@ -1,7 +1,10 @@
 package uarch
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/trace"
 )
@@ -10,17 +13,20 @@ import (
 // trace-generation path (§III-A) and the experiment stats both hang off it.
 type LLCObserver func(a trace.Access, hit bool)
 
-// level is one private cache level (L1I, L1D, or L2) with LRU replacement
-// (Table III) and an MSHR-style in-flight timing table.
+// level is one cache level with an MSHR-style in-flight timing table: a
+// private L1I, L1D, or L2 with LRU replacement (Table III), or the shared
+// LLC. name tags the level's obs events ("core0.l1d", "llc").
 type level struct {
+	name     string
 	c        *cache.Cache
 	latency  uint64
 	inflight map[uint64]uint64 // block → ready time
 	mshrs    int
 }
 
-func newLevel(cfg cache.Config, latency uint64, mshrs int) *level {
+func newLevel(name string, cfg cache.Config, latency uint64, mshrs int) *level {
 	return &level{
+		name:     name,
 		c:        cache.New(cfg),
 		latency:  latency,
 		inflight: make(map[uint64]uint64),
@@ -96,9 +102,12 @@ type Hierarchy struct {
 
 	observer LLCObserver
 	stats    LLCStats
-	// DemandMissLatency accumulates the total latency of demand LLC
-	// traffic, for the memory-boundedness diagnostics.
-	wbToDRAM uint64
+	wbToDRAM uint64 // dirty LLC victims written back to memory
+
+	// hook is picked up from obs.GlobalHook at construction; every level
+	// access then emits Hit/Miss/Fill records tagged with the level name.
+	hook obs.Hook
+	ev   obs.CacheEvent // scratch record, reused across emissions
 }
 
 // NewHierarchy builds the memory system. The policy is Init-ed against the
@@ -107,11 +116,12 @@ func NewHierarchy(cfg Config, pol policy.Policy) *Hierarchy {
 	if pol == nil {
 		pol = policy.MustNew("lru")
 	}
-	h := &Hierarchy{cfg: cfg, pol: pol}
+	h := &Hierarchy{cfg: cfg, pol: pol, hook: obs.GlobalHook()}
 	for c := 0; c < cfg.Cores; c++ {
-		h.l1i = append(h.l1i, newLevel(cfg.L1I, cfg.L1ILatency, cfg.MSHRs))
-		h.l1d = append(h.l1d, newLevel(cfg.L1D, cfg.L1DLatency, cfg.MSHRs))
-		h.l2 = append(h.l2, newLevel(cfg.L2, cfg.L2Latency, cfg.MSHRs))
+		pfx := fmt.Sprintf("core%d.", c)
+		h.l1i = append(h.l1i, newLevel(pfx+"l1i", cfg.L1I, cfg.L1ILatency, cfg.MSHRs))
+		h.l1d = append(h.l1d, newLevel(pfx+"l1d", cfg.L1D, cfg.L1DLatency, cfg.MSHRs))
+		h.l2 = append(h.l2, newLevel(pfx+"l2", cfg.L2, cfg.L2Latency, cfg.MSHRs))
 		pf := newPrefetcher(cfg.L2Prefetcher)
 		h.l2pf = append(h.l2pf, pf)
 		if k, ok := pf.(*KPCP); ok {
@@ -120,7 +130,7 @@ func NewHierarchy(cfg Config, pol policy.Policy) *Hierarchy {
 			h.kpcp = append(h.kpcp, nil)
 		}
 	}
-	h.llc = newLevel(cfg.LLC, cfg.LLCLatency, cfg.MSHRs*cfg.Cores)
+	h.llc = newLevel("llc", cfg.LLC, cfg.LLCLatency, cfg.MSHRs*cfg.Cores)
 	pol.Init(policy.Config{Config: cfg.LLC, NumCores: cfg.Cores})
 	return h
 }
@@ -131,12 +141,33 @@ func (h *Hierarchy) SetLLCObserver(fn LLCObserver) { h.observer = fn }
 // Stats returns the accumulated LLC statistics.
 func (h *Hierarchy) Stats() LLCStats { return h.stats }
 
+// WBToDRAM returns the count of dirty LLC victims written back to memory.
+func (h *Hierarchy) WBToDRAM() uint64 { return h.wbToDRAM }
+
 // Policy returns the LLC replacement policy instance.
 func (h *Hierarchy) Policy() policy.Policy { return h.pol }
 
 // KPCPFor returns the core's KPC-P engine, or nil when another prefetcher
 // is configured. KPC-R wires its Confidence callback through this.
 func (h *Hierarchy) KPCPFor(core int) *KPCP { return h.kpcp[core] }
+
+// emit sends one cache event from level l to the obs hook, tagged with the
+// level name so per-level streams can be filtered out of a shared sink.
+// seq is the LLC access sequence number (0 at the private levels).
+// With no hook set it inlines to a nil check.
+func (h *Hierarchy) emit(l *level, kind obs.EventKind, a trace.Access, seq uint64, setIdx uint32, way int) {
+	if h.hook != nil {
+		h.send(l, kind, a, seq, setIdx, way)
+	}
+}
+
+func (h *Hierarchy) send(l *level, kind obs.EventKind, a trace.Access, seq uint64, setIdx uint32, way int) {
+	h.ev = obs.CacheEvent{
+		Kind: kind, Seq: seq, PC: a.PC, Addr: a.Addr, Type: uint8(a.Type),
+		Set: setIdx, Way: way, Policy: l.name,
+	}
+	h.hook.OnCacheEvent(&h.ev)
+}
 
 // accessLLC performs one LLC access, driving the replacement policy and
 // the observer, and returns the completion time.
@@ -163,8 +194,10 @@ func (h *Hierarchy) accessLLC(core int, pc, addr uint64, ty trace.AccessType, no
 		}
 		h.llc.c.RecordHit(setIdx, way, a)
 		h.pol.Update(ctx, set, way, true)
+		h.emit(h.llc, obs.EvHit, a, ctx.Seq, setIdx, way)
 		return now + h.llc.latency
 	}
+	h.emit(h.llc, obs.EvMiss, a, ctx.Seq, setIdx, -1)
 	if ty != trace.Writeback {
 		// Merged miss: the block is already being fetched. The access
 		// counts (and the observer has fired), but it must not re-drive
@@ -199,6 +232,7 @@ func (h *Hierarchy) accessLLC(core int, pc, addr uint64, ty trace.AccessType, no
 		h.wbToDRAM++
 	}
 	h.pol.Update(ctx, set, way, false)
+	h.emit(h.llc, obs.EvFill, a, ctx.Seq, setIdx, way)
 	return done
 }
 
@@ -215,12 +249,13 @@ func (h *Hierarchy) accessL2(core int, pc, addr uint64, ty trace.AccessType, now
 		}
 	}
 
+	a := trace.Access{PC: pc, Addr: addr, Type: ty, Core: uint8(core)}
 	if hit {
-		a := trace.Access{PC: pc, Addr: addr, Type: ty, Core: uint8(core)}
 		l2.c.RecordHit(setIdx, way, a)
+		h.emit(l2, obs.EvHit, a, 0, setIdx, way)
 		return now + l2.latency
 	}
-
+	h.emit(l2, obs.EvMiss, a, 0, setIdx, -1)
 	var done uint64
 	if ready, ok := l2.mshrLookup(addr, now); ok {
 		done = ready
@@ -246,6 +281,7 @@ func (h *Hierarchy) fillLevel(core int, l *level, addr, pc uint64, ty trace.Acce
 		way = lruVictim(l.c.Set(setIdx))
 	}
 	victim := l.c.Fill(setIdx, way, a)
+	h.emit(l, obs.EvFill, a, 0, setIdx, way)
 	if victim.Valid && victim.Dirty {
 		h.writeback(core, l, victim)
 	}
@@ -321,8 +357,10 @@ func (h *Hierarchy) AccessData(core int, pc, addr uint64, store bool, now uint64
 	if hit {
 		// RecordHit marks the line dirty for RFO accesses.
 		l1.c.RecordHit(setIdx, way, a)
+		h.emit(l1, obs.EvHit, a, 0, setIdx, way)
 		return now + l1.latency
 	}
+	h.emit(l1, obs.EvMiss, a, 0, setIdx, -1)
 	var done uint64
 	if ready, ok := l1.mshrLookup(addr, now); ok {
 		done = ready
@@ -356,8 +394,10 @@ func (h *Hierarchy) AccessInstr(core int, pc uint64, now uint64) uint64 {
 	setIdx, way, hit := l1.c.Probe(pc)
 	if hit {
 		l1.c.RecordHit(setIdx, way, a)
+		h.emit(l1, obs.EvHit, a, 0, setIdx, way)
 		return now + l1.latency
 	}
+	h.emit(l1, obs.EvMiss, a, 0, setIdx, -1)
 	var done uint64
 	if ready, ok := l1.mshrLookup(pc, now); ok {
 		done = ready

@@ -179,7 +179,7 @@ func TestLLCMergedMissUpdatesTimingOnly(t *testing.T) {
 // compared against the new miss's future ready time, dropping every
 // still-in-flight entry and re-charging later merges full DRAM latency.
 func TestMSHRPressureSweepKeepsInflight(t *testing.T) {
-	l := newLevel(cache.Config{Sets: 2, Ways: 2, LineSize: 64}, 4, 4)
+	l := newLevel("l2", cache.Config{Sets: 2, Ways: 2, LineSize: 64}, 4, 4)
 	// Four in-flight fetches completing at t=100.
 	for i := uint64(0); i < 4; i++ {
 		l.mshrInsert(i<<6, 0, 100)

@@ -375,3 +375,23 @@ func TestKPCPConfidenceGates(t *testing.T) {
 		}
 	}
 }
+
+// TestRunSingleMatchesOneCoreRunMulti: with one core, the quantum
+// scheduler is plain sequential execution, so RunSingle and a 1-core
+// RunMulti must agree byte for byte.
+func TestRunSingleMatchesOneCoreRunMulti(t *testing.T) {
+	mk := func() (*System, InstrSource) {
+		spec, err := workloads.ByName("429.mcf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewSystem(ScaledConfig(1, 16), policy.MustNew("lru")), workloads.New(spec)
+	}
+	s1, src1 := mk()
+	r1 := s1.RunSingle(src1, 1_000, 8_000)
+	s2, src2 := mk()
+	r2 := s2.RunMulti([]InstrSource{src2}, 1_000, 8_000)[0]
+	if r1 != r2 {
+		t.Fatalf("RunSingle %+v != 1-core RunMulti %+v", r1, r2)
+	}
+}

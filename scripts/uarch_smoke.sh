@@ -1,43 +1,33 @@
 #!/bin/sh
-# uarch_smoke.sh — end-to-end smoke of the event-driven multi-core engine.
+# uarch_smoke.sh — end-to-end smoke of the multi-core timing model.
 #
-# Exercises the whole chain: `check -pair uarch` runs the legacy-vs-event
-# byte-for-byte differential on a short 429.mcf window over the policy
-# zoo, and `benchjson -uarch -quick` produces the scaling report,
-# validating the emitted JSON:
-#   - the cross-check verdict must be "xcheck_ok": true;
-#   - the report must carry events_per_sec, per_core, and wb_to_dram;
+# Exercises the whole chain: the golden-digest test holds every uarch
+# Result, DRAM writeback count and LLC victim sequence to its recorded
+# value at 1, 2, 4 and 8 cores, and `benchjson -uarch -quick` produces
+# the scaling report, validating the emitted JSON:
+#   - the report must carry instr_per_sec, per_core, wb_to_dram and
+#     geomean_ipc;
 #   - no field may be NaN.
 set -eu
 
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT INT TERM
 
-echo "uarch-smoke: building check and benchjson..."
-go build -o "$dir/check" ./cmd/check
+echo "uarch-smoke: golden digests (internal/uarch)..."
+go test -count=1 -run Golden ./internal/uarch > "$dir/golden.out" 2>&1 || {
+    echo "uarch-smoke: FAIL — the timing model moved off its golden digests" >&2
+    cat "$dir/golden.out" >&2
+    exit 1
+}
+
+echo "uarch-smoke: building benchjson..."
 go build -o "$dir/benchjson" ./cmd/benchjson
 
-echo "uarch-smoke: legacy-vs-event differential (429.mcf)..."
-"$dir/check" -pair uarch -class 429.mcf -seeds 2 -n 8000 > "$dir/check.out" || {
-    echo "uarch-smoke: FAIL — event engine diverged from the legacy core loop" >&2
-    cat "$dir/check.out" >&2
-    exit 1
-}
-grep -q "no divergence" "$dir/check.out" || {
-    echo "uarch-smoke: FAIL — differential did not report a clean sweep" >&2
-    cat "$dir/check.out" >&2
-    exit 1
-}
-
-echo "uarch-smoke: event-engine quick benchmark..."
+echo "uarch-smoke: quick scaling benchmark..."
 "$dir/benchjson" -uarch -quick -o "$dir/uarch.json" 2> /dev/null
 
 echo "uarch-smoke: validating BENCH_uarch fields..."
-grep -q '"xcheck_ok": true' "$dir/uarch.json" || {
-    echo "uarch-smoke: FAIL — report has xcheck_ok != true" >&2
-    exit 1
-}
-for field in events_per_sec per_core wb_to_dram geomean_ipc event_over_legacy; do
+for field in instr_per_sec per_core wb_to_dram geomean_ipc; do
     if ! grep -q "\"$field\"" "$dir/uarch.json"; then
         echo "uarch-smoke: FAIL — report has no $field field" >&2
         exit 1
