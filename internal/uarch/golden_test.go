@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	_ "repro/internal/core" // registers rlr-mc
 	"repro/internal/policy"
 	"repro/internal/workloads"
 )
@@ -165,6 +166,23 @@ func TestGoldenDigestsKPCP(t *testing.T) {
 		if w, ok := want[cores]; !ok || got != w {
 			t.Errorf("403.gcc/drrip/kpc-p/%d: digest moved\n\t%d: {%#x, %d, %d, %#x},",
 				cores, cores, got.results, got.wbToDRAM, got.victims, got.victimHash)
+		}
+	}
+}
+
+// TestGoldenDigestsRLRMC pins the benchmark's own timing config: rlr-mc in
+// the LLC of ScaledConfig(4, 8), as perfbench's uarch path and fig13 run it.
+func TestGoldenDigestsRLRMC(t *testing.T) {
+	want := map[string]goldenCell{
+		"429.mcf/rlr-mc/4":       {0x5e82aeb8d3b9de84, 2260, 20748, 0x6f6cf360a5b5cd11},
+		"483.xalancbmk/rlr-mc/4": {0xbd2e63744905ddae, 2509, 22829, 0x8a3ad3f3217370b3},
+	}
+	for _, bench := range []string{"429.mcf", "483.xalancbmk"} {
+		key := bench + "/rlr-mc/4"
+		got := runGolden(t, bench, "rlr-mc", ScaledConfig(4, 8))
+		if w, ok := want[key]; !ok || got != w {
+			t.Errorf("%s: digest moved\n\t%q: {%#x, %d, %d, %#x},",
+				key, key, got.results, got.wbToDRAM, got.victims, got.victimHash)
 		}
 	}
 }
