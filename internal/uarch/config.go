@@ -40,8 +40,11 @@ type Config struct {
 	// "kpc-p" (§V-B), or "none".
 	L2Prefetcher string
 
-	// MSHRs bounds in-flight misses tracked per cache level (timing merge
-	// windows; excess entries are recycled oldest-first).
+	// MSHRs sizes the in-flight miss table of each private level (timing
+	// merge windows); the shared LLC's table is sized MSHRs × Cores. At
+	// MSHRs or more entries, an insert first drops the entries that have
+	// completed; if 4×MSHRs entries are still in flight, the table is
+	// cleared.
 	MSHRs int
 }
 

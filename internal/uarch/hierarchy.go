@@ -21,6 +21,7 @@ type level struct {
 	c        *cache.Cache
 	latency  uint64
 	inflight map[uint64]uint64 // block → ready time
+	minReady uint64            // lower bound on the ready times in inflight
 	mshrs    int
 }
 
@@ -30,6 +31,7 @@ func newLevel(name string, cfg cache.Config, latency uint64, mshrs int) *level {
 		c:        cache.New(cfg),
 		latency:  latency,
 		inflight: make(map[uint64]uint64),
+		minReady: ^uint64(0),
 		mshrs:    mshrs,
 	}
 }
@@ -51,19 +53,28 @@ func (l *level) mshrLookup(addr, now uint64) (uint64, bool) {
 // every already-completed entry (ready <= now) — a value-conditioned
 // sweep, so the timing model stays deterministic (map iteration order
 // must never pick which entry survives) and still-in-flight entries are
-// never lost to a later miss's insert.
+// never lost to a later miss's insert. minReady skips sweeps that cannot
+// delete anything; a lookup's delete may leave it too low, which costs one
+// sweep that recomputes it.
 func (l *level) mshrInsert(addr, now, ready uint64) {
 	if len(l.inflight) >= l.mshrs {
-		for k, v := range l.inflight {
-			if v <= now {
-				delete(l.inflight, k)
+		if l.minReady <= now {
+			l.minReady = ^uint64(0)
+			for k, v := range l.inflight {
+				if v <= now {
+					delete(l.inflight, k)
+				} else {
+					l.minReady = min(l.minReady, v)
+				}
 			}
 		}
 		if len(l.inflight) >= 4*l.mshrs {
 			l.inflight = make(map[uint64]uint64)
+			l.minReady = ^uint64(0)
 		}
 	}
 	l.inflight[addr>>6] = ready
+	l.minReady = min(l.minReady, ready)
 }
 
 // lruVictim selects the least recently used way of a full set.
