@@ -184,10 +184,9 @@ func BenchmarkHotpathMLPForwardBatch1(b *testing.B)  { benchForwardBatch(b, 1) }
 func BenchmarkHotpathMLPForwardBatch8(b *testing.B)  { benchForwardBatch(b, 8) }
 func BenchmarkHotpathMLPForwardBatch32(b *testing.B) { benchForwardBatch(b, 32) }
 
-// BenchmarkHotpathMLPBackwardBatch8 measures the batched masked-target
-// gradient pass (8 samples, one live action each) per sample.
-func BenchmarkHotpathMLPBackwardBatch8(b *testing.B) {
-	const bs = 8
+// benchBackwardBatch reports per-sample ns of the batched masked-target
+// gradient pass (bs samples, one live action each).
+func benchBackwardBatch(b *testing.B, bs int) {
 	m, xs := paperMLP(bs)
 	targets := make([]float64, bs*16)
 	for i := range targets {
@@ -208,6 +207,20 @@ func BenchmarkHotpathMLPBackwardBatch8(b *testing.B) {
 	b.ReportMetric(perSample, "ns/sample")
 }
 
+func BenchmarkHotpathMLPBackwardBatch8(b *testing.B)  { benchBackwardBatch(b, 8) }
+func BenchmarkHotpathMLPBackwardBatch16(b *testing.B) { benchBackwardBatch(b, 16) }
+
+// BenchmarkHotpathMLPAdamStep measures one Adam update over every
+// parameter of the paper's network.
+func BenchmarkHotpathMLPAdamStep(b *testing.B) {
+	m, _ := paperMLP(1)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.AdamStep(1e-3, 16)
+	}
+}
+
 // BenchmarkHotpathMLPQuantForward measures frozen int8 inference through
 // the same network — the evaluation-only fast path.
 func BenchmarkHotpathMLPQuantForward(b *testing.B) {
@@ -222,9 +235,10 @@ func BenchmarkHotpathMLPQuantForward(b *testing.B) {
 
 // TestHotpathBatchSpeedupSmoke is the CI regression gate for the batched
 // kernels: ForwardBatch at B=8 must be at least 2× faster per sample than
-// the scalar reference. The committed BENCH_hotpath.json records ~6× on
-// the reference machine; 2× is the generous floor that still catches a
-// silent fallback to the scalar path. Skipped under the race detector
+// the scalar reference, and the B=1 decision path (Forward) at least 1.5×
+// faster per call. The committed BENCH_hotpath.json records well above
+// both; the floors are generous but still catch a silent fallback to one
+// latency-bound chain per output. Skipped under the race detector
 // (instrumentation distorts timing) and in -short runs.
 func TestHotpathBatchSpeedupSmoke(t *testing.T) {
 	if raceEnabled {
@@ -260,6 +274,13 @@ func TestHotpathBatchSpeedupSmoke(t *testing.T) {
 	t.Logf("scalar ref %.0f ns/sample, batch%d %.0f ns/sample — %.2fx", refNS, bs, batchNS, speedup)
 	if speedup < 2 {
 		t.Errorf("batched forward speedup %.2fx below the 2x regression floor", speedup)
+	}
+
+	oneNS := best(func() { m.Forward(x1) })
+	oneSpeedup := refNS / oneNS
+	t.Logf("scalar ref %.0f ns, Forward (B=1) %.0f ns — %.2fx", refNS, oneNS, oneSpeedup)
+	if oneSpeedup < 1.5 {
+		t.Errorf("B=1 forward speedup %.2fx below the 1.5x regression floor", oneSpeedup)
 	}
 }
 

@@ -217,9 +217,9 @@ func runHotpath(quick bool, outPath string) error {
 		rep.BatchSpeedup32 = refNS / batchNS[32]
 	}
 
-	// Batched masked backward at the training minibatch shape.
-	{
-		const bs = 8
+	// Batched masked backward (one live action per row, ns_per_op PER
+	// SAMPLE) at 8 rows and at the benchmark agent's minibatch of 16.
+	for _, bs := range []int{8, 16} {
 		xs := make([]float64, bs*334)
 		for j := range xs {
 			xs[j] = float64(j%13) / 13
@@ -235,7 +235,18 @@ func runHotpath(quick bool, outPath string) error {
 		m.ForwardBatch(xs, bs)
 		ns := timeOp(opBudget, func() { m.BackwardBatch(targets, bs) }) / float64(bs)
 		allocs := testing.AllocsPerRun(200, func() { m.BackwardBatch(targets, bs) })
-		rep.Micro = append(rep.Micro, hotpathMicro{Name: "mlp_backward_batch8", NsPerOp: ns, AllocsPerOp: allocs})
+		rep.Micro = append(rep.Micro, hotpathMicro{
+			Name: fmt.Sprintf("mlp_backward_batch%d", bs), NsPerOp: ns, AllocsPerOp: allocs,
+		})
+	}
+
+	// One Adam step over all 61,616 parameters, on a private copy so the
+	// moving weights do not feed the int8 snapshot below.
+	{
+		ma := nn.NewMLP(334, 1, nn.LayerSpec{Units: 175, Act: nn.Tanh}, nn.LayerSpec{Units: 16, Act: nn.Linear})
+		ns := timeOp(opBudget, func() { ma.AdamStep(1e-3, 16) })
+		allocs := testing.AllocsPerRun(200, func() { ma.AdamStep(1e-3, 16) })
+		rep.Micro = append(rep.Micro, hotpathMicro{Name: "mlp_adam_step", NsPerOp: ns, AllocsPerOp: allocs})
 	}
 
 	// Frozen int8 inference (evaluation-only path).

@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -22,6 +24,11 @@ var testShapes = []struct {
 	{"deep", 13, []LayerSpec{{Units: 11, Act: Tanh}, {Units: 7, Act: ReLU}, {Units: 5, Act: Tanh}, {Units: 2, Act: Linear}}},
 	{"paper", 334, []LayerSpec{{Units: 175, Act: Tanh}, {Units: 16, Act: Linear}}},
 	{"kband", 1200, []LayerSpec{{Units: 6, Act: Tanh}, {Units: 2, Act: Linear}}}, // spans multiple k-bands
+	// Row-kernel blocks of 16 outputs: exact, overlapping last blocks,
+	// inputs that are a multiple of 4, and inputs shorter than one
+	// 4-wide k step.
+	{"row-blocks", 4, []LayerSpec{{Units: 16, Act: Tanh}, {Units: 21, Act: ReLU}, {Units: 17, Act: Linear}}},
+	{"narrow-in", 2, []LayerSpec{{Units: 19, Act: Tanh}, {Units: 31, Act: Linear}}},
 }
 
 var testBatches = []int{1, 2, 3, 4, 5, 8, 17, 32}
@@ -112,23 +119,30 @@ func TestBackwardBatchBitIdenticalToRef(t *testing.T) {
 						ref.BackwardRef(ts[r*out : (r+1)*out])
 					}
 
-					for li := range m.layers {
-						lm, lr := m.layers[li], ref.layers[li]
-						for i := range lm.gw {
-							if !bitsEqual(lm.gw[i], lr.gw[i]) {
-								t.Fatalf("b=%d layer %d gw[%d]: batch %x ref %x",
-									b, li, i, math.Float64bits(lm.gw[i]), math.Float64bits(lr.gw[i]))
-							}
-						}
-						for o := range lm.gb {
-							if !bitsEqual(lm.gb[o], lr.gb[o]) {
-								t.Fatalf("b=%d layer %d gb[%d]: batch %x ref %x",
-									b, li, o, math.Float64bits(lm.gb[o]), math.Float64bits(lr.gb[o]))
-							}
-						}
-					}
+					assertSameGrads(t, fmt.Sprintf("b=%d", b), m, ref)
 				}
 			})
+		}
+	}
+}
+
+// assertSameGrads fails t unless every accumulated weight and bias
+// gradient of got is bit-identical to want's.
+func assertSameGrads(t *testing.T, ctx string, got, want *MLP) {
+	t.Helper()
+	for li := range got.layers {
+		lg, lw := got.layers[li], want.layers[li]
+		for i := range lg.gw {
+			if !bitsEqual(lg.gw[i], lw.gw[i]) {
+				t.Fatalf("%s layer %d gw[%d]: got %x want %x",
+					ctx, li, i, math.Float64bits(lg.gw[i]), math.Float64bits(lw.gw[i]))
+			}
+		}
+		for o := range lg.gb {
+			if !bitsEqual(lg.gb[o], lw.gb[o]) {
+				t.Fatalf("%s layer %d gb[%d]: got %x want %x",
+					ctx, li, o, math.Float64bits(lg.gb[o]), math.Float64bits(lw.gb[o]))
+			}
 		}
 	}
 }
@@ -304,25 +318,14 @@ func FuzzBatchEquivalence(f *testing.F) {
 			}
 			ref.BackwardRef(ts[r*4 : (r+1)*4])
 		}
-		for li := range m.layers {
-			lm, lr := m.layers[li], ref.layers[li]
-			for i := range lm.gw {
-				if !bitsEqual(lm.gw[i], lr.gw[i]) {
-					t.Fatalf("layer %d gw[%d]: %x vs %x", li, i, math.Float64bits(lm.gw[i]), math.Float64bits(lr.gw[i]))
-				}
-			}
-			for o := range lm.gb {
-				if !bitsEqual(lm.gb[o], lr.gb[o]) {
-					t.Fatalf("layer %d gb[%d]: %x vs %x", li, o, math.Float64bits(lm.gb[o]), math.Float64bits(lr.gb[o]))
-				}
-			}
-		}
+		assertSameGrads(t, "fuzz", m, ref)
 	})
 }
 
-// TestForwardBatchPureGoPath re-runs the forward equivalence with the
-// vector kernel disabled, so the portable loop-blocked path is exercised
-// even on machines where AVX2 would normally take every b≥4 batch.
+// TestForwardBatchPureGoPath re-runs the forward and backward
+// equivalence with the vector kernels disabled, so the portable
+// loop-blocked path is exercised even on machines where AVX2 would
+// normally take every batch.
 func TestForwardBatchPureGoPath(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no vector kernel on this machine; main tests already cover the Go path")
@@ -333,19 +336,124 @@ func TestForwardBatchPureGoPath(t *testing.T) {
 		m := NewMLP(sh.inputs, 42, sh.specs...)
 		ref := NewMLP(sh.inputs, 42, sh.specs...)
 		rng := xrand.New(99)
+		out := m.OutputSize()
 		for _, b := range testBatches {
-			xs := randInputs(rng, b*sh.inputs)
-			got := m.ForwardBatch(xs, b)
-			out := m.OutputSize()
-			for r := 0; r < b; r++ {
-				want := ref.ForwardRef(xs[r*sh.inputs : (r+1)*sh.inputs])
-				for o := 0; o < out; o++ {
-					if !bitsEqual(got[r*out+o], want[o]) {
-						t.Fatalf("%s b=%d row %d out %d: go-kernel %x ref %x",
-							sh.name, b, r, o, math.Float64bits(got[r*out+o]), math.Float64bits(want[o]))
+			for _, sparse := range []bool{false, true} {
+				xs := randInputs(rng, b*sh.inputs)
+				ts := maskTargets(rng, b, out, sparse)
+				m.ZeroGrad()
+				ref.ZeroGrad()
+				got := m.ForwardBatch(xs, b)
+				for r := 0; r < b; r++ {
+					want := ref.ForwardRef(xs[r*sh.inputs : (r+1)*sh.inputs])
+					for o := 0; o < out; o++ {
+						if !bitsEqual(got[r*out+o], want[o]) {
+							t.Fatalf("%s b=%d row %d out %d: go-kernel %x ref %x",
+								sh.name, b, r, o, math.Float64bits(got[r*out+o]), math.Float64bits(want[o]))
+						}
+					}
+					ref.BackwardRef(ts[r*out : (r+1)*out])
+				}
+				m.BackwardBatch(ts, b)
+				assertSameGrads(t, fmt.Sprintf("%s b=%d sparse=%v go-kernel", sh.name, b, sparse), m, ref)
+			}
+		}
+	}
+}
+
+// TestAdamVectorBitIdenticalToScalar runs the vector Adam update against
+// the scalar loop over several steps, for lengths that are below, at and
+// above the 4-wide vector (and ragged against it) up to the paper net's
+// hidden-layer weight count, with zeros, subnormals and huge magnitudes
+// mixed into the parameters, gradients and moments.
+func TestAdamVectorBitIdenticalToScalar(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no vector kernel on this machine; the scalar loop is the only path")
+	}
+	defer func() { useAVX2 = true }()
+	special := []float64{
+		0, math.Copysign(0, -1),
+		5e-324, -4.9e-322, 1.5e-310, // subnormals
+		2.2250738585072014e-308, // smallest normal
+		1e300, -3e307, 1e154,    // large: gi·gi and v overflow to ±Inf
+		1e-160, -0.5, 7,
+	}
+	vec := func(rng *xrand.Rand, n int, nonNeg bool) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			if rng.Uint64n(3) == 0 {
+				v[i] = special[rng.Uint64n(uint64(len(special)))]
+			} else {
+				v[i] = rng.Float64()*2 - 1
+			}
+			if nonNeg {
+				v[i] = math.Abs(v[i])
+			}
+		}
+		return v
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 175, 2800, 58450} {
+		rng := xrand.New(uint64(n))
+		w, mo, ve := vec(rng, n, false), vec(rng, n, false), vec(rng, n, true)
+		ws, ms, vs := slices.Clone(w), slices.Clone(mo), slices.Clone(ve)
+		for step := 1; step <= 4; step++ {
+			g := vec(rng, n, false)
+			c := adamConsts{
+				inv:   1 / float64(3*step),
+				beta1: adamBeta1, c1: 1 - adamBeta1,
+				beta2: adamBeta2, c2: 1 - adamBeta2,
+				lr:  1e-3 * float64(step),
+				bc1: 1 - math.Pow(adamBeta1, float64(step)),
+				bc2: 1 - math.Pow(adamBeta2, float64(step)),
+				eps: adamEps,
+			}
+			useAVX2 = true
+			adam(w, g, mo, ve, &c)
+			useAVX2 = false
+			adam(ws, g, ms, vs, &c)
+			for i := range w {
+				for _, p := range []struct {
+					name      string
+					got, want float64
+				}{{"w", w[i], ws[i]}, {"m", mo[i], ms[i]}, {"v", ve[i], vs[i]}} {
+					if !bitsEqual(p.got, p.want) {
+						t.Fatalf("n=%d step %d %s[%d]: vector %x scalar %x",
+							n, step, p.name, i, math.Float64bits(p.got), math.Float64bits(p.want))
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestTrainStepVectorMatchesPureGo trains the paper-shaped net for a few
+// minibatches (batched forward, masked backward, Adam) once with the
+// vector kernels and once with the pure-Go ones, and requires the full
+// serialized training states to be byte-identical.
+func TestTrainStepVectorMatchesPureGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no vector kernel on this machine; the Go path is the only path")
+	}
+	defer func() { useAVX2 = true }()
+	train := func(vector bool) []byte {
+		useAVX2 = vector
+		m := NewMLP(334, 3, LayerSpec{Units: 175, Act: Tanh}, LayerSpec{Units: 16, Act: Linear})
+		rng := xrand.New(17)
+		for _, b := range []int{16, 15, 1, 6} {
+			xs := randInputs(rng, b*334)
+			ts := maskTargets(rng, b, 16, true)
+			m.Forward(xs[:334])
+			m.ForwardBatch(xs, b)
+			m.BackwardBatch(ts, b)
+			m.AdamStep(1e-3, b)
+		}
+		var buf bytes.Buffer
+		if err := m.SaveFull(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(train(true), train(false)) {
+		t.Error("vector and pure-Go training states differ")
 	}
 }

@@ -158,7 +158,7 @@ func TestSHCTSaturation(t *testing.T) {
 	sig := pcSignature(ctx.PC)
 
 	p.Update(ctx, nil, 0, false) // fill records the signature
-	for i := 0; i < 100; i++ {  // re-references train up
+	for i := 0; i < 100; i++ {   // re-references train up
 		p.Update(ctx, nil, 0, true)
 	}
 	if got := p.shct[sig]; got != shctMax {
